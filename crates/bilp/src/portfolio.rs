@@ -468,10 +468,13 @@ fn run_probe_worker(
 ) {
     let mut attempt = 0u64;
     loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+        // The first attempt always runs: a tiny model can be decided
+        // before this thread is first scheduled, and an engaged probe
+        // worker still calls its probe once (a probe that honours `stop`
+        // returns at once).
+        let decided = shared.stop.load(Ordering::Relaxed)
+            || budget.deadline.is_some_and(|d| Instant::now() >= d);
+        if attempt > 0 && decided {
             return;
         }
         attempt += 1;

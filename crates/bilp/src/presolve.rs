@@ -31,6 +31,21 @@
 //! 7. **Fixed-variable elimination** — fixed and aliased variables are
 //!    removed and the survivors densely renumbered.
 //!
+//! # Data layout and the identical-output invariant
+//!
+//! Every index a pass builds over the working set — occurrence lists,
+//! the binary implication graph, the exclusion adjacency, the probing
+//! watch lists — is a `Csr`: one offsets array and one items array,
+//! indexed by [`Lit::code`] (or variable index), filled in ascending
+//! constraint order. Duplicate detection hashes constraints in place.
+//! How an index is laid out is free to change for speed; what presolve
+//! produces is not. The same model and configuration must give the same
+//! reduced [`Model`], the same [`Reconstruction`] and the same value of
+//! every [`PresolveStats`] counter except `elapsed` — those go out on
+//! the wire and decide which clauses the engine sees. So each pass visits
+//! candidates in a fixed order (constraint index, then literal code),
+//! and `tests/presolve_golden.rs` pins the output by digest.
+//!
 //! # Why reconstruction is sound
 //!
 //! Every pass preserves the solution set exactly, up to the recorded
@@ -47,12 +62,15 @@
 use crate::model::{LinExpr, Lit, Model, Var};
 use crate::normalize::{normalize, NormConstraint};
 use crate::solve::Assignment;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 const UNASSIGNED: i8 = -1;
-/// Hard cap on simplification rounds; each round is near-linear and the
-/// fixpoint is almost always reached in two or three.
+/// Hard cap on simplification rounds; the fixpoint is almost always
+/// reached in two to four. A round is linear in the working set except
+/// for the clique pass, whose adjacency grows with Σ k² over the
+/// at-most-one families it seeds from (k ≤ [`CLIQUE_SEED_LIMIT`]), and
+/// the subsumption pass, which is capped by [`SUBSUME_BUDGET`].
 const MAX_ROUNDS: u32 = 12;
 /// Upper bound on pairwise expansion of an existing at-most-one when
 /// seeding the exclusion adjacency (quadratic in the constraint length).
@@ -67,11 +85,11 @@ pub struct PresolveConfig {
     /// probing entirely.
     pub probe_budget: u64,
     /// Models with fewer variables than this skip probing outright.
-    /// On easy instances the probe pass costs as much wall time as the
-    /// whole solve (BENCH_presolve: ~100–200 ms of `presolve_ms` against
-    /// comparable totals) while the search finds the same fixings in its
-    /// first few conflicts; small models therefore go straight to the
-    /// engine. Set to `0` to probe regardless of size.
+    /// On small, easy instances the search finds the fixings probing
+    /// would in its first few conflicts, while building the probe's
+    /// snapshot and watch lists is a fixed cost paid before any search;
+    /// small models therefore go straight to the engine. Set to `0` to
+    /// probe regardless of size.
     pub probe_min_vars: usize,
     /// Absolute deadline shared with the solver: presolve time counts
     /// against the solve budget, and every pass polls this.
@@ -284,10 +302,98 @@ impl Presolved {
 /// A working constraint; literals are rewritten in place as substitutions
 /// and fixings land, so stored literals are current as of the last
 /// simplification sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Con {
     Clause(Vec<Lit>),
     AtMost(Vec<(u64, Lit)>, u64),
+}
+
+impl Con {
+    /// A hash of the constraint's content, for duplicate detection.
+    fn content_hash(&self) -> u64 {
+        // FxHash-style multiply-rotate: cheap, and equal constraints hash
+        // equally, which is all `dedup_pass` needs.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+        match self {
+            Con::Clause(lits) => lits.iter().fold(mix(0, 0), |h, l| mix(h, u64::from(l.0))),
+            Con::AtMost(terms, bound) => terms.iter().fold(mix(mix(0, 1), *bound), |h, &(a, l)| {
+                mix(mix(h, a), u64::from(l.0))
+            }),
+        }
+    }
+}
+
+/// Compressed sparse rows: row `r` is `items[start[r]..start[r + 1]]`.
+/// Every per-literal (or per-variable) index presolve builds is one of
+/// these: two flat arrays instead of a map of vectors.
+struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Builds the rows from a stream of `(row, item)` pairs. `pairs` is
+    /// called twice — once to count, once to fill — and must emit the
+    /// same pairs in the same order both times; each row keeps its items
+    /// in emission order.
+    fn build(rows: usize, pairs: impl Fn(&mut dyn FnMut(usize, T))) -> Self {
+        let mut start = vec![0usize; rows + 1];
+        pairs(&mut |r, _| start[r + 1] += 1);
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut items = vec![T::default(); start[rows]];
+        let mut fill = start.clone();
+        pairs(&mut |r, item| {
+            items[fill[r]] = item;
+            fill[r] += 1;
+        });
+        Csr { start, items }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r]..self.start[r + 1]]
+    }
+}
+
+impl<T: Copy + Default + Ord> Csr<T> {
+    /// Sorts every row and drops repeated items, compacting in place.
+    fn sort_dedup_rows(&mut self) {
+        let mut write = 0;
+        for r in 0..self.start.len() - 1 {
+            let (lo, hi) = (self.start[r], self.start[r + 1]);
+            self.items[lo..hi].sort_unstable();
+            self.start[r] = write;
+            for k in lo..hi {
+                if k == lo || self.items[k] != self.items[k - 1] {
+                    self.items[write] = self.items[k];
+                    write += 1;
+                }
+            }
+        }
+        *self.start.last_mut().expect("rows + 1 bounds") = write;
+        self.items.truncate(write);
+    }
+}
+
+/// The items two ascending lists share, ascending (a sorted merge).
+fn common<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    return Some(a[i - 1]);
+                }
+            }
+        }
+        None
+    })
 }
 
 struct Work {
@@ -338,21 +444,29 @@ impl Work {
     /// Resolves a literal to its equivalence-class representative, with
     /// path compression.
     fn find(&mut self, l: Lit) -> Lit {
-        let mut cur = l;
-        let mut chain: Vec<Lit> = Vec::new();
+        let step = |rep: &[Lit], cur: Lit| {
+            let r = rep[cur.var().index()];
+            if cur.is_negative() {
+                !r
+            } else {
+                r
+            }
+        };
+        let mut root = l;
         loop {
-            let r = self.rep[cur.var().index()];
-            let mapped = if cur.is_negative() { !r } else { r };
-            if mapped == cur {
+            let next = step(&self.rep, root);
+            if next == root {
                 break;
             }
-            chain.push(cur);
-            cur = mapped;
+            root = next;
         }
-        for c in chain {
-            self.rep[c.var().index()] = if c.is_negative() { !cur } else { cur };
+        let mut cur = l;
+        while cur != root {
+            let next = step(&self.rep, cur);
+            self.rep[cur.var().index()] = if cur.is_negative() { !root } else { root };
+            cur = next;
         }
-        cur
+        root
     }
 
     fn enqueue(&mut self, l: Lit) {
@@ -429,16 +543,22 @@ impl Work {
     /// `None` means the constraint was satisfied or replaced by units.
     fn simplify_con(&mut self, con: Con, changed: &mut bool) -> Result<Option<Con>, Conflict> {
         match con {
-            Con::Clause(lits) => {
-                let mut out: Vec<Lit> = Vec::with_capacity(lits.len());
+            Con::Clause(mut lits) => {
+                // Rewritten in place: surviving literals are compacted to
+                // the front of the same buffer.
                 let mut any = false;
-                for l in lits {
+                let mut kept = 0;
+                for k in 0..lits.len() {
+                    let l = lits[k];
                     let r = self.find(l);
                     if r != l {
                         any = true;
                     }
                     match self.value[r.var().index()] {
-                        UNASSIGNED => out.push(r),
+                        UNASSIGNED => {
+                            lits[kept] = r;
+                            kept += 1;
+                        }
                         v => {
                             any = true;
                             if (v == 1) != r.is_negative() {
@@ -451,19 +571,20 @@ impl Work {
                         }
                     }
                 }
-                out.sort_unstable();
-                out.dedup();
+                lits.truncate(kept);
+                lits.sort_unstable();
+                lits.dedup();
                 // Codes of l and ¬l are adjacent, so a tautology shows up
                 // as consecutive entries after sorting.
-                if out.windows(2).any(|w| w[0].var() == w[1].var()) {
+                if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
                     *changed = true;
                     self.stats.removed_constraints += 1;
                     return Ok(None);
                 }
-                match out.len() {
+                match lits.len() {
                     0 => Err(Conflict),
                     1 => {
-                        self.enqueue(out[0]);
+                        self.enqueue(lits[0]);
                         *changed = true;
                         Ok(None)
                     }
@@ -471,40 +592,47 @@ impl Work {
                         if any {
                             *changed = true;
                         }
-                        Ok(Some(Con::Clause(out)))
+                        Ok(Some(Con::Clause(lits)))
                     }
                 }
             }
             Con::AtMost(terms, bound) => {
-                // Merge per-variable, tracking coefficients on both
+                // Merge per variable, tracking coefficients on both
                 // polarities: a·x + b·¬x = min(a,b) + |a-b|·(dominant lit).
-                let mut per_var: BTreeMap<Var, (u64, u64)> = BTreeMap::new();
+                // Unassigned terms are sorted by literal code, so each
+                // variable's (at most two) polarities end up adjacent.
+                let mut live: Vec<(Lit, u64)> = Vec::with_capacity(terms.len());
                 let mut bound = i128::from(bound);
                 let mut any = false;
-                for (a, l) in &terms {
-                    let r = self.find(*l);
-                    if r != *l {
+                for &(a, l) in &terms {
+                    let r = self.find(l);
+                    if r != l {
                         any = true;
                     }
                     match self.value[r.var().index()] {
-                        UNASSIGNED => {
-                            let e = per_var.entry(r.var()).or_insert((0, 0));
-                            if r.is_negative() {
-                                e.1 += a;
-                            } else {
-                                e.0 += a;
-                            }
-                        }
+                        UNASSIGNED => live.push((r, a)),
                         v => {
                             any = true;
                             if (v == 1) != r.is_negative() {
-                                bound -= i128::from(*a);
+                                bound -= i128::from(a);
                             }
                         }
                     }
                 }
-                let mut kept: Vec<(u64, Lit)> = Vec::with_capacity(per_var.len());
-                for (v, (pos, neg)) in per_var {
+                live.sort_unstable_by_key(|&(l, _)| l);
+                let mut kept: Vec<(u64, Lit)> = Vec::with_capacity(live.len());
+                let mut k = 0;
+                while k < live.len() {
+                    let v = live[k].0.var();
+                    let (mut pos, mut neg) = (0u64, 0u64);
+                    while k < live.len() && live[k].0.var() == v {
+                        if live[k].0.is_negative() {
+                            neg += live[k].1;
+                        } else {
+                            pos += live[k].1;
+                        }
+                        k += 1;
+                    }
                     let base = pos.min(neg);
                     if base > 0 {
                         any = true;
@@ -519,18 +647,18 @@ impl Work {
                 if bound < 0 {
                     return Err(Conflict);
                 }
-                let norm = crate::normalize::tighten_at_most(
+                let mut norm = crate::normalize::tighten_at_most(
                     kept.clone(),
                     bound as u64,
                     &mut self.stats.strengthened,
                 );
                 // The common case: the constraint survives unchanged as a
                 // single at-most.
-                if let [NormConstraint::AtMost { terms: t, bound: b }] = norm.as_slice() {
+                if let [NormConstraint::AtMost { terms: t, bound: b }] = norm.as_mut_slice() {
                     if any || *t != kept || i128::from(*b) != bound {
                         *changed = true;
                     }
-                    return Ok(Some(Con::AtMost(t.clone(), *b)));
+                    return Ok(Some(Con::AtMost(std::mem::take(t), *b)));
                 }
                 *changed = true;
                 let mut replacement = None;
@@ -582,28 +710,30 @@ impl Work {
             if self.time_up() {
                 return Ok(changed);
             }
-            // Occurrence lists keyed by the variables as currently stored;
-            // valid until the next union (none happen inside this loop).
-            let mut occ: HashMap<Var, Vec<u32>> = HashMap::new();
-            for (i, con) in self.cons.iter().enumerate() {
-                let Some(con) = con else { continue };
-                let mut push = |v: Var| occ.entry(v).or_default().push(i as u32);
-                match con {
-                    Con::Clause(lits) => lits.iter().for_each(|l| push(l.var())),
-                    Con::AtMost(terms, _) => terms.iter().for_each(|(_, l)| push(l.var())),
-                }
-            }
-            let mut dirty: VecDeque<u32> = VecDeque::new();
-            let mut in_dirty: HashSet<u32> = HashSet::new();
-            let mark = |v: Var,
-                        occ: &HashMap<Var, Vec<u32>>,
-                        dirty: &mut VecDeque<u32>,
-                        in_dirty: &mut HashSet<u32>| {
-                if let Some(list) = occ.get(&v) {
-                    for &i in list {
-                        if in_dirty.insert(i) {
-                            dirty.push_back(i);
+            // Occurrence lists per variable as currently stored, in
+            // ascending constraint order; valid until the next union
+            // (none happen inside this loop).
+            let cons = &self.cons;
+            let occ: Csr<u32> = Csr::build(self.value.len(), |emit| {
+                for (i, con) in cons.iter().enumerate() {
+                    match con {
+                        Some(Con::Clause(lits)) => {
+                            lits.iter().for_each(|l| emit(l.var().index(), i as u32))
                         }
+                        Some(Con::AtMost(terms, _)) => terms
+                            .iter()
+                            .for_each(|(_, l)| emit(l.var().index(), i as u32)),
+                        None => {}
+                    }
+                }
+            });
+            let mut dirty: VecDeque<u32> = VecDeque::new();
+            let mut in_dirty = vec![false; self.cons.len()];
+            let mark = |v: usize, dirty: &mut VecDeque<u32>, in_dirty: &mut [bool]| {
+                for &i in occ.row(v) {
+                    if !in_dirty[i as usize] {
+                        in_dirty[i as usize] = true;
+                        dirty.push_back(i);
                     }
                 }
             };
@@ -612,11 +742,12 @@ impl Work {
             // then incrementally from fresh units.
             for v in 0..self.value.len() {
                 if self.value[v] != UNASSIGNED {
-                    mark(Var(v as u32), &occ, &mut dirty, &mut in_dirty);
+                    mark(v, &mut dirty, &mut in_dirty);
                 }
             }
+            let mut fresh: Vec<Lit> = Vec::new();
             while let Some(i) = dirty.pop_front() {
-                in_dirty.remove(&i);
+                in_dirty[i as usize] = false;
                 if self.time_up() {
                     break;
                 }
@@ -629,10 +760,11 @@ impl Work {
                 }
                 // Fresh units dirty their occurrence lists (under the
                 // old variable naming, which units do not change).
-                let fresh: Vec<Lit> = self.queue.iter().copied().collect();
+                fresh.clear();
+                fresh.extend(self.queue.iter().copied());
                 self.drain_queue()?;
-                for l in fresh {
-                    mark(l.var(), &occ, &mut dirty, &mut in_dirty);
+                for l in &fresh {
+                    mark(l.var().index(), &mut dirty, &mut in_dirty);
                 }
             }
         }
@@ -645,18 +777,20 @@ impl Work {
     /// contradiction.
     fn equiv_pass(&mut self) -> Result<bool, Conflict> {
         let n = self.value.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
-        let mut any_edge = false;
-        for con in self.cons.iter().flatten() {
-            if let Con::Clause(lits) = con {
-                if let [a, b] = lits.as_slice() {
-                    adj[(!*a).code()].push(b.code() as u32);
-                    adj[(!*b).code()].push(a.code() as u32);
-                    any_edge = true;
+        let cons = &self.cons;
+        // Edges in constraint order, so the traversal (and with it the
+        // order in which classes are merged) is fixed by the model.
+        let adj: Csr<u32> = Csr::build(2 * n, |emit| {
+            for con in cons.iter().flatten() {
+                if let Con::Clause(lits) = con {
+                    if let [a, b] = lits.as_slice() {
+                        emit((!*a).code(), b.0);
+                        emit((!*b).code(), a.0);
+                    }
                 }
             }
-        }
-        if !any_edge {
+        });
+        if adj.items.is_empty() {
             return Ok(false);
         }
         // Iterative Tarjan SCC.
@@ -669,7 +803,11 @@ impl Work {
         let mut sccs: Vec<Vec<u32>> = Vec::new();
         let mut call: Vec<(u32, u32)> = Vec::new(); // (node, edge cursor)
         for s in 0..2 * n {
-            if index[s] != UNVISITED {
+            // A literal with no outgoing implication is a singleton
+            // component wherever the traversal meets it, so it is never
+            // worth starting from; skipping it leaves every recorded
+            // component and their order unchanged.
+            if index[s] != UNVISITED || adj.row(s).is_empty() {
                 continue;
             }
             call.push((s as u32, 0));
@@ -682,7 +820,7 @@ impl Work {
                     stack.push(v as u32);
                     on_stack[v] = true;
                 }
-                if let Some(&w) = adj[v].get(cursor) {
+                if let Some(&w) = adj.row(v).get(cursor) {
                     frame.1 += 1;
                     let w = w as usize;
                     if index[w] == UNVISITED {
@@ -729,23 +867,35 @@ impl Work {
         Ok(changed)
     }
 
-    /// Removes syntactic duplicates (clauses and at-mosts).
+    /// Removes syntactic duplicates (clauses and at-mosts); the first
+    /// occurrence of each constraint survives.
     fn dedup_pass(&mut self) -> bool {
-        let mut seen: HashSet<Vec<u64>> = HashSet::new();
+        // Open addressing over constraint indices, keyed by content hash
+        // and confirmed by comparing the constraints themselves.
+        const EMPTY: u32 = u32::MAX;
+        let live = self.cons.iter().flatten().count();
+        let bits = (2 * live).next_power_of_two().max(2).trailing_zeros();
+        let mask = (1usize << bits) - 1;
+        let mut table: Vec<(u64, u32)> = vec![(0, EMPTY); mask + 1];
         let mut changed = false;
-        for slot in &mut self.cons {
-            let Some(con) = slot else { continue };
-            let key: Vec<u64> = match con {
-                Con::Clause(lits) => std::iter::once(0u64)
-                    .chain(lits.iter().map(|l| l.code() as u64))
-                    .collect(),
-                Con::AtMost(terms, bound) => std::iter::once(1u64)
-                    .chain(std::iter::once(*bound))
-                    .chain(terms.iter().flat_map(|&(a, l)| [a, l.code() as u64]))
-                    .collect(),
+        for i in 0..self.cons.len() {
+            let Some(con) = &self.cons[i] else { continue };
+            let h = con.content_hash();
+            // The high bits of a multiplicative hash are the well-mixed ones.
+            let mut slot = (h >> (64 - bits)) as usize;
+            let duplicate = loop {
+                let (sh, j) = table[slot];
+                if j == EMPTY {
+                    table[slot] = (h, i as u32);
+                    break false;
+                }
+                if sh == h && self.cons[j as usize].as_ref() == Some(con) {
+                    break true;
+                }
+                slot = (slot + 1) & mask;
             };
-            if !seen.insert(key) {
-                *slot = None;
+            if duplicate {
+                self.cons[i] = None;
                 self.stats.removed_constraints += 1;
                 changed = true;
             }
@@ -756,34 +906,31 @@ impl Work {
     /// Budgeted clause-subsumes-clause elimination via occurrence lists on
     /// the rarest literal.
     fn subsume_pass(&mut self) -> bool {
-        let mut occ: HashMap<Lit, Vec<u32>> = HashMap::new();
-        for (i, con) in self.cons.iter().enumerate() {
-            if let Some(Con::Clause(lits)) = con {
-                for l in lits {
-                    occ.entry(*l).or_default().push(i as u32);
+        let cons = &self.cons;
+        let occ: Csr<u32> = Csr::build(2 * self.value.len(), |emit| {
+            for (i, con) in cons.iter().enumerate() {
+                if let Some(Con::Clause(lits)) = con {
+                    lits.iter().for_each(|l| emit(l.code(), i as u32));
                 }
             }
-        }
+        });
         let mut budget = SUBSUME_BUDGET;
         let mut changed = false;
         for i in 0..self.cons.len() {
             if budget == 0 || self.time_up() {
                 break;
             }
-            let Some(Con::Clause(sub)) = self.cons[i].clone() else {
+            // The subsumer is read in place, so the clauses it subsumes
+            // are removed after its scan; until then a clause already
+            // found (listed twice in a row) is skipped as a removed one.
+            let Some(Con::Clause(sub)) = &self.cons[i] else {
                 continue;
             };
-            let Some(rarest) = sub
-                .iter()
-                .min_by_key(|l| occ.get(l).map_or(0, Vec::len))
-                .copied()
-            else {
+            let Some(rarest) = sub.iter().min_by_key(|l| occ.row(l.code()).len()) else {
                 continue;
             };
-            let Some(candidates) = occ.get(&rarest) else {
-                continue;
-            };
-            for &j in candidates {
+            let mut removed: Vec<u32> = Vec::new();
+            for &j in occ.row(rarest.code()) {
                 let j = j as usize;
                 if j == i {
                     continue;
@@ -791,18 +938,21 @@ impl Work {
                 let Some(Con::Clause(sup)) = &self.cons[j] else {
                     continue;
                 };
-                if sup.len() < sub.len() {
+                if sup.len() < sub.len() || removed.last() == Some(&(j as u32)) {
                     continue;
                 }
                 budget = budget.saturating_sub((sub.len() + sup.len()) as u64);
-                if is_subset(&sub, sup) {
-                    self.cons[j] = None;
-                    self.stats.removed_constraints += 1;
-                    changed = true;
+                if is_subset(sub, sup) {
+                    removed.push(j as u32);
                 }
                 if budget == 0 {
                     break;
                 }
+            }
+            for j in removed {
+                self.cons[j as usize] = None;
+                self.stats.removed_constraints += 1;
+                changed = true;
             }
         }
         changed
@@ -811,63 +961,95 @@ impl Work {
     /// Grows at-most-one cliques from pairwise exclusions and replaces the
     /// covered binary clauses.
     fn clique_pass(&mut self) -> bool {
-        let mut adj: BTreeMap<Lit, BTreeSet<Lit>> = BTreeMap::new();
-        let edge = |a: Lit, b: Lit, adj: &mut BTreeMap<Lit, BTreeSet<Lit>>| {
-            adj.entry(a).or_default().insert(b);
-            adj.entry(b).or_default().insert(a);
-        };
-        // (idx, x, y): clause #idx forbids x ∧ y.
-        let mut binaries: Vec<(usize, Lit, Lit)> = Vec::new();
-        for (i, con) in self.cons.iter().enumerate() {
-            match con {
-                Some(Con::Clause(lits)) => {
-                    if let [a, b] = lits.as_slice() {
-                        edge(!*a, !*b, &mut adj);
-                        binaries.push((i, !*a, !*b));
-                    }
-                }
-                Some(Con::AtMost(terms, 1))
-                    if terms.len() <= CLIQUE_SEED_LIMIT && terms.iter().all(|&(a, _)| a == 1) =>
-                {
-                    for x in 0..terms.len() {
-                        for y in x + 1..terms.len() {
-                            edge(terms[x].1, terms[y].1, &mut adj);
+        let n_lits = 2 * self.value.len();
+        let cons = &self.cons;
+        // Exclusion adjacency: a binary clause (a ∨ b) forbids ¬a ∧ ¬b,
+        // and a short unit-coefficient at-most-one forbids every pair of
+        // its literals. Rows are sorted and duplicate-free.
+        let mut adj: Csr<u32> = Csr::build(n_lits, |emit| {
+            for con in cons.iter().flatten() {
+                match con {
+                    Con::Clause(lits) => {
+                        if let [a, b] = lits.as_slice() {
+                            emit((!*a).code(), (!*b).0);
+                            emit((!*b).code(), (!*a).0);
                         }
                     }
+                    Con::AtMost(terms, 1)
+                        if terms.len() <= CLIQUE_SEED_LIMIT
+                            && terms.iter().all(|&(a, _)| a == 1) =>
+                    {
+                        for (p, &(_, x)) in terms.iter().enumerate() {
+                            for (q, &(_, y)) in terms.iter().enumerate() {
+                                if p != q {
+                                    emit(x.code(), y.0);
+                                }
+                            }
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        let mut emitted: Vec<BTreeSet<Lit>> = Vec::new();
+        });
+        adj.sort_dedup_rows();
+        let adjacent = |x: u32, y: u32| adj.row(x as usize).binary_search(&y).is_ok();
+        // (idx, x, y): clause #idx forbids x ∧ y.
+        let binaries: Vec<(usize, Lit, Lit)> = cons
+            .iter()
+            .enumerate()
+            .filter_map(|(i, con)| match con {
+                Some(Con::Clause(lits)) => match lits.as_slice() {
+                    [a, b] => Some((i, !*a, !*b)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        // Per literal code, the emitted cliques containing it, ascending;
+        // allocated with the first clique.
+        let mut member_of: Vec<Vec<u32>> = Vec::new();
+        let mut emitted = 0u32;
+        let mut clique: Vec<Lit> = Vec::new();
         let mut changed = false;
         for (idx, a, b) in binaries {
             if self.time_up() {
                 break;
             }
-            if emitted.iter().any(|s| s.contains(&a) && s.contains(&b)) {
+            if !member_of.is_empty()
+                && common(&member_of[a.code()], &member_of[b.code()])
+                    .next()
+                    .is_some()
+            {
                 self.cons[idx] = None;
                 self.stats.removed_constraints += 1;
                 changed = true;
                 continue;
             }
-            let (Some(na), Some(nb)) = (adj.get(&a), adj.get(&b)) else {
-                continue;
-            };
-            let mut clique: BTreeSet<Lit> = [a, b].into_iter().collect();
-            for &c in na.intersection(nb) {
-                if clique
-                    .iter()
-                    .all(|m| adj.get(&c).is_some_and(|n| n.contains(m)))
-                {
-                    clique.insert(c);
+            // Greedy growth over the common neighbours, ascending.
+            clique.clear();
+            clique.push(a);
+            if b != a {
+                clique.push(b);
+            }
+            for c in common(adj.row(a.code()), adj.row(b.code())) {
+                // A member re-found through a self-exclusion is already in.
+                if c != a.0 && c != b.0 && clique.iter().all(|m| adjacent(c, m.0)) {
+                    clique.push(Lit(c));
                 }
             }
             if clique.len() >= 3 {
+                clique.sort_unstable();
+                if member_of.is_empty() {
+                    member_of.resize_with(n_lits, Vec::new);
+                }
+                for l in &clique {
+                    member_of[l.code()].push(emitted);
+                }
+                emitted += 1;
                 self.cons.push(Some(Con::AtMost(
                     clique.iter().map(|&l| (1, l)).collect(),
                     1,
                 )));
-                emitted.push(clique);
                 self.stats.cliques += 1;
                 self.cons[idx] = None;
                 self.stats.removed_constraints += 1;
@@ -902,7 +1084,7 @@ struct Probe {
     /// Per literal code: `(constraint id, coefficient)`; clause ids are
     /// `0..clauses.len()`, at-most ids follow. Coefficient is 0 for
     /// clauses.
-    occ: Vec<Vec<(u32, u64)>>,
+    occ: Csr<(u32, u64)>,
     val: Vec<i8>,
     trail: Vec<Lit>,
     cl_false: Vec<u32>,
@@ -926,17 +1108,18 @@ impl Probe {
             }
         }
         let nc = clauses.len();
-        let mut occ: Vec<Vec<(u32, u64)>> = vec![Vec::new(); 2 * n];
-        for (i, c) in clauses.iter().enumerate() {
-            for l in c {
-                occ[l.code()].push((i as u32, 0));
+        let occ = Csr::build(2 * n, |emit| {
+            for (i, c) in clauses.iter().enumerate() {
+                for l in c {
+                    emit(l.code(), (i as u32, 0));
+                }
             }
-        }
-        for (i, (terms, _)) in amts.iter().enumerate() {
-            for (a, l) in terms {
-                occ[l.code()].push(((nc + i) as u32, *a));
+            for (i, (terms, _)) in amts.iter().enumerate() {
+                for (a, l) in terms {
+                    emit(l.code(), ((nc + i) as u32, *a));
+                }
             }
-        }
+        });
         Probe {
             cl_false: vec![0; clauses.len()],
             cl_true: vec![0; clauses.len()],
@@ -990,8 +1173,8 @@ impl Probe {
             let nc = self.clauses.len();
             let mut conflict = false;
             // The literal is now true.
-            for k in 0..self.occ[l.code()].len() {
-                let (c, coeff) = self.occ[l.code()][k];
+            for k in 0..self.occ.row(l.code()).len() {
+                let (c, coeff) = self.occ.row(l.code())[k];
                 let c = c as usize;
                 self.steps += 1;
                 if c < nc {
@@ -1016,8 +1199,8 @@ impl Probe {
             // Its negation is now false. (A false literal in an at-most
             // only loosens it; only clauses can propagate here.)
             let neg = (!l).code();
-            for k in 0..self.occ[neg].len() {
-                let (c, _) = self.occ[neg][k];
+            for k in 0..self.occ.row(neg).len() {
+                let (c, _) = self.occ.row(neg)[k];
                 let c = c as usize;
                 self.steps += 1;
                 if c < nc {
@@ -1051,7 +1234,7 @@ impl Probe {
             let l = self.trail.pop().expect("trail above mark");
             self.val[l.var().index()] = UNASSIGNED;
             let nc = self.clauses.len();
-            for &(c, coeff) in &self.occ[l.code()] {
+            for &(c, coeff) in self.occ.row(l.code()) {
                 let c = c as usize;
                 if c < nc {
                     self.cl_true[c] -= 1;
@@ -1059,7 +1242,7 @@ impl Probe {
                     self.am_sum[c - nc] -= coeff;
                 }
             }
-            for &(c, _) in &self.occ[(!l).code()] {
+            for &(c, _) in self.occ.row((!l).code()) {
                 let c = c as usize;
                 if c < nc {
                     self.cl_false[c] -= 1;
@@ -1079,7 +1262,7 @@ fn probe_phase(work: &mut Work, budget: u64) -> Result<Vec<Lit>, Conflict> {
     let mut order: Vec<(usize, usize)> = (0..n)
         .filter(|&v| probe.val[v] == UNASSIGNED)
         .map(|v| {
-            let occ = probe.occ[2 * v].len() + probe.occ[2 * v + 1].len();
+            let occ = probe.occ.row(2 * v).len() + probe.occ.row(2 * v + 1).len();
             (occ, v)
         })
         .filter(|&(occ, _)| occ > 0)
@@ -1559,5 +1742,44 @@ mod tests {
         // equivalent: expanding any solution must satisfy the original.
         assert_eq!(recon.num_original_vars(), 20);
         assert!(red.num_vars() <= 20);
+    }
+
+    /// Many triangles of pairwise exclusions: disjoint ones, a chain of
+    /// overlapping ones sharing an edge with each neighbour, and a band
+    /// sharing only vertices. The clique pass must cover them with the
+    /// same cliques, removing the same binaries, however its adjacency
+    /// and emitted-clique lookups are organised.
+    #[test]
+    fn clique_pass_on_many_triangles() {
+        let mut m = Model::new();
+        let vs = m.new_vars(3000);
+        let excl = |m: &mut Model, a: usize, b: usize| {
+            m.add_clause([!vs[a].lit(), !vs[b].lit()]);
+        };
+        for t in (0..1200).step_by(3) {
+            excl(&mut m, t, t + 1);
+            excl(&mut m, t + 1, t + 2);
+            excl(&mut m, t, t + 2);
+        }
+        for t in 1200..2000 {
+            excl(&mut m, t, t + 1);
+            excl(&mut m, t, t + 2);
+        }
+        for t in (2000..2990).step_by(2) {
+            excl(&mut m, t, t + 1);
+            excl(&mut m, t + 1, t + 2);
+            excl(&mut m, t, t + 2);
+        }
+        for block in vs.chunks(10) {
+            m.add_clause(block.iter().map(|v| v.lit()));
+        }
+        let p = presolve(&m, &PresolveConfig::default());
+        let (red, _, stats) = reduced(&p);
+        assert_eq!(
+            (stats.cliques, stats.removed_constraints, stats.rounds),
+            (1695, 4285, 2),
+            "{stats:?}"
+        );
+        assert_eq!(red.constraints().len(), 1995);
     }
 }
